@@ -43,7 +43,7 @@ pub struct BurstRecord {
     pub start_us: f64,
     /// Burst end, microseconds.
     pub end_us: f64,
-    /// Events the burst processed (discarded stale wakes excluded).
+    /// Events the burst processed.
     pub events: u64,
     /// Events pending on the shard at election.
     pub pending: u64,

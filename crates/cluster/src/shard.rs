@@ -2,7 +2,7 @@
 //!
 //! A [`ShardMap`] assigns every server (and therefore every stream the
 //! server carries) to one of `n` shards. The sharded event loop in
-//! `sct-core` runs each shard's events on its own calendar queue and only
+//! `sct-core` runs each shard's events on its own event queue and only
 //! synchronizes at the causal edges the span layer identifies — DRM
 //! displacement, chain-2 inner hops, replication copies, and evacuation
 //! rescues. The mapping is static and contiguous: servers `0..n_servers`

@@ -264,7 +264,7 @@ pub struct RunSummary {
     /// earliest foreign work lay ahead of the elected head. `None` when
     /// the run was unbounded (every other shard was empty).
     pub slack_secs: Option<f64>,
-    /// Events dispatched during the run (stale wake-ups excluded).
+    /// Events dispatched during the run.
     pub events: u64,
     /// `true` when the shard still held work at run end — it stalled at
     /// the barrier horizon instead of draining.

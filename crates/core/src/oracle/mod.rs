@@ -2,10 +2,11 @@
 //!
 //! The production [`crate::simulation::Simulation`] is *event-driven*:
 //! engines integrate piecewise-linear stream state exactly between
-//! predicted events, and a generation counter filters stale wakes. That
-//! machinery is efficient but subtle — an allocator bug, a mis-predicted
-//! wake, or a commitment-ledger drift silently corrupts results without
-//! tripping any single assertion.
+//! predicted events, and each server's wake slot is re-keyed in place
+//! whenever its schedule changes. That machinery is efficient but subtle
+//! — an allocator bug, a mis-predicted wake, or a commitment-ledger
+//! drift silently corrupts results without tripping any single
+//! assertion.
 //!
 //! This module provides the classic antidote (see ns-2/ns-3 validation
 //! practice): a **deliberately simple reference simulator** that replays

@@ -13,7 +13,15 @@
 //! * **wake** — wake-event queue pushes from the re-arm site;
 //! * **probe** — the per-event [`crate::metrics::StateView`]
 //!   publication (the `SimEvent` fan-out rides inside dispatch: timing
-//!   each emission cost more than the fan-out itself).
+//!   each emission cost more than the fan-out itself);
+//! * **queue** — the gap *between* dispatch windows: from one event's
+//!   closing timestamp to the next pop's, i.e. the event-queue pop plus
+//!   the loop's own bookkeeping. It reuses the dispatch boundaries, so
+//!   it costs no clock read of its own;
+//! * **barrier** — sharded loop only: shard election between runs.
+//!
+//! Dispatch, queue and barrier tile the loop, so on the monolithic loop
+//! they sum to the wall clock up to the loop's set-up and final pop.
 //!
 //! Timers use [`Instant`], which Linux services from the vDSO — a
 //! monotonic clock read without a syscall — so the hot path stays
@@ -41,13 +49,16 @@ pub enum Phase {
     Wake,
     /// Per-event state publication to the attached probes.
     Probe,
+    /// From the previous event's closing timestamp to the next pop:
+    /// event-queue work between dispatch windows.
+    Queue,
     /// Sharded loop only: barrier work between runs — electing the next
     /// shard and recomputing the cross-shard horizon. Zero on the
     /// monolithic (`shards = 1`) fast path.
     Barrier,
 }
 
-const N_PHASES: usize = 5;
+const N_PHASES: usize = 6;
 
 #[derive(Default)]
 struct PhaseCell {
@@ -158,6 +169,7 @@ impl LoopProfiler {
             alloc: stat(Phase::Alloc),
             wake: stat(Phase::Wake),
             probe: stat(Phase::Probe),
+            queue: stat(Phase::Queue),
             barrier: stat(Phase::Barrier),
         }
     }
@@ -189,6 +201,9 @@ pub struct LoopProfile {
     pub wake: PhaseStat,
     /// Per-event state publication to the attached probes.
     pub probe: PhaseStat,
+    /// Between dispatch windows: the next pop and the loop's own
+    /// bookkeeping.
+    pub queue: PhaseStat,
     /// Sharded-loop barrier work (shard election + horizon recompute);
     /// zero when `shards = 1`.
     pub barrier: PhaseStat,
@@ -225,6 +240,7 @@ impl LoopProfile {
             alloc: add(|p| p.alloc),
             wake: add(|p| p.wake),
             probe: add(|p| p.probe),
+            queue: add(|p| p.queue),
             barrier: add(|p| p.barrier),
         }
     }
@@ -246,6 +262,7 @@ impl LoopProfile {
                 phase("alloc", &self.alloc),
                 phase("wake", &self.wake),
                 phase("probe", &self.probe),
+                phase("queue", &self.queue),
                 phase("barrier", &self.barrier),
             ],
         }
@@ -264,6 +281,7 @@ impl LoopProfile {
         out.push_str(&row("alloc", &self.alloc));
         out.push_str(&row("wake", &self.wake));
         out.push_str(&row("probe", &self.probe));
+        out.push_str(&row("queue", &self.queue));
         if self.barrier.calls > 0 {
             out.push_str(&row("barrier", &self.barrier));
         }
@@ -317,6 +335,10 @@ mod tests {
                 secs: 0.0,
                 calls: 0,
             },
+            queue: PhaseStat {
+                secs: 0.0,
+                calls: 0,
+            },
             barrier: PhaseStat {
                 secs: 0.0,
                 calls: 0,
@@ -336,6 +358,7 @@ mod tests {
             alloc: stat(0.2, 10),
             wake: stat(0.1, 10),
             probe: stat(0.05, 10),
+            queue: stat(0.3, 10),
             barrier: stat(0.01, 4),
         };
         let b = LoopProfile {
@@ -346,6 +369,7 @@ mod tests {
             alloc: stat(0.1, 6),
             wake: stat(0.05, 6),
             probe: stat(0.02, 6),
+            queue: stat(0.2, 6),
             barrier: stat(0.02, 3),
         };
         let m = LoopProfile::merge(&[a, b]);
@@ -354,6 +378,7 @@ mod tests {
         assert_eq!(m.events_per_sec, 8.0);
         assert_eq!(m.dispatch.calls, 16);
         assert!((m.dispatch.secs - 0.75).abs() < 1e-12);
+        assert!((m.queue.secs - 0.5).abs() < 1e-12);
         assert_eq!(m.barrier.calls, 7);
         assert!((m.barrier.secs - 0.03).abs() < 1e-12);
         let text = m.to_text();
@@ -366,7 +391,7 @@ mod tests {
         assert_eq!(m.wall_secs, 0.0);
         assert_eq!(m.events, 0);
         assert_eq!(m.events_per_sec, 0.0);
-        for s in [m.dispatch, m.alloc, m.wake, m.probe, m.barrier] {
+        for s in [m.dispatch, m.alloc, m.wake, m.probe, m.queue, m.barrier] {
             assert_eq!(s.secs, 0.0);
             assert_eq!(s.calls, 0);
         }
@@ -383,6 +408,7 @@ mod tests {
             alloc: stat(0.2, 10),
             wake: stat(0.1, 10),
             probe: stat(0.05, 10),
+            queue: stat(0.3, 10),
             barrier: stat(0.0, 0),
         };
         // events_per_sec is recomputed from consistent inputs, so a
@@ -401,14 +427,19 @@ mod tests {
             alloc: stat(0.3, 4),
             wake: stat(0.2, 4),
             probe: stat(0.1, 4),
+            queue: stat(0.08, 4),
             barrier: stat(0.05, 2),
         };
         let snap = p.snapshot();
         assert_eq!(snap.wall_secs, 1.0);
         assert_eq!(snap.events, 4);
         let names: Vec<&str> = snap.phases.iter().map(|ph| ph.name.as_str()).collect();
-        assert_eq!(names, ["dispatch", "alloc", "wake", "probe", "barrier"]);
-        assert_eq!(snap.phases[4].calls, 2);
+        assert_eq!(
+            names,
+            ["dispatch", "alloc", "wake", "probe", "queue", "barrier"]
+        );
+        assert_eq!(snap.phases[4].secs, 0.08);
+        assert_eq!(snap.phases[5].calls, 2);
         assert_eq!(snap.phases[0].secs, 0.4);
     }
 
@@ -425,5 +456,6 @@ mod tests {
         assert!(text.contains("events/s"), "{text}");
         assert!(text.contains("dispatch"), "{text}");
         assert!(text.contains("probe"), "{text}");
+        assert!(text.contains("queue"), "{text}");
     }
 }

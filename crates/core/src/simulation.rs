@@ -22,12 +22,14 @@
 //! * **Arrival** — the next Poisson request. Handling it may admit a
 //!   stream (possibly migrating a victim), then schedules the following
 //!   arrival.
-//! * **Wake { server, generation }** — the time at which a server's state
-//!   changes on its own: a stream completes or a staging buffer fills.
-//!   Each server keeps a generation counter; wakes scheduled before the
-//!   server's last reallocation are stale and ignored, so the queue never
-//!   needs deletions. The `WakeScheduler` owns this idiom — it is the
-//!   only place a wake is ever (re-)armed.
+//! * **Wake { server }** — the time at which a server's state changes on
+//!   its own: a stream completes or a staging buffer fills. Each server
+//!   owns one keyed wake slot in the event queue
+//!   ([`sct_simcore::EventQueue::push_keyed`]); a reallocation re-keys
+//!   the slot in place and a failure cancels it, so the queue never
+//!   holds a superseded wake and every pop is dispatched. The
+//!   `WakeScheduler` owns this idiom — it is the only place a wake is
+//!   ever (re-)armed outside an epoch burst.
 //!
 //! Between events every stream's `sent` grows linearly at its allocated
 //! rate, so engines integrate state exactly (no time-stepping error).
@@ -80,7 +82,8 @@ enum Event {
     /// The generator's next request arrives.
     Arrival,
     /// A server predicted a state change (completion / buffer-full).
-    Wake { server: u16, generation: u64 },
+    /// Lives in the server's keyed wake slot, so it is always current.
+    Wake { server: u16 },
     /// A server fails (fault-tolerance extension).
     ServerDown(u16),
     /// A failed server comes back online.
@@ -148,13 +151,17 @@ impl SimOutcome {
 
 /// The one place wake events are armed. Owns the sharded queue, the
 /// shard map, and the horizon, and encapsulates the
-/// advance/reschedule/generation/push idiom that every handler needs
-/// after touching an engine's schedule.
+/// advance/reschedule/re-key idiom that every handler needs after
+/// touching an engine's schedule. Each server has one keyed wake slot
+/// (slot index = server index) on its shard's queue.
 struct WakeScheduler {
     queue: ShardedQueue<Event>,
     /// Static server→shard partition (single-shard when `shards = 1`).
     map: ShardMap,
     end: SimTime,
+    /// Per server: the engine generation its wake slot was last keyed
+    /// under from this scheduler (see [`WakeScheduler::set_wake`]).
+    keyed_gen: Vec<u64>,
 }
 
 impl WakeScheduler {
@@ -187,12 +194,51 @@ impl WakeScheduler {
         }
     }
 
+    /// Points `engine`'s wake slot at `wake`, the engine's current
+    /// schedule; no wake, or one past the horizon, disarms the slot.
+    ///
+    /// A slot already keyed under the engine's current generation — a
+    /// re-arm with no reschedule in between, hence the same wake time —
+    /// keeps its key and only burns a sequence number. That is the
+    /// entry a generation-filtered queue would pop live (the first push
+    /// of the generation), so the pop order, and every outcome bit,
+    /// match the tombstone-based loop. Epoch bursts key their own slots
+    /// directly, always right after a reschedule, so their arms are
+    /// fresh by construction.
+    fn set_wake(&mut self, engine: &ServerEngine, wake: Option<SimTime>) {
+        let shard = self.map.shard_of(engine.id());
+        let slot = engine.id().index();
+        let Some(wake) = wake.filter(|&t| t <= self.end) else {
+            self.queue.cancel(shard, slot);
+            return;
+        };
+        let generation = engine.generation();
+        match self.queue.armed(shard, slot) {
+            Some((armed, _)) if self.keyed_gen[slot] == generation => {
+                debug_assert_eq!(armed, wake, "re-arm without a reschedule moved the wake");
+                self.queue.skip_seq();
+            }
+            _ => {
+                let server = engine.id().0;
+                self.queue
+                    .push_keyed(shard, slot, wake, Event::Wake { server });
+                self.keyed_gen[slot] = generation;
+            }
+        }
+    }
+
+    /// Disarms `server`'s wake slot (it failed or was repaired: nothing
+    /// it scheduled before still applies).
+    fn disarm(&mut self, server: ServerId) {
+        self.queue.cancel(self.map.shard_of(server), server.index());
+    }
+
     /// Re-arms `engine`'s wake after its schedule changed: optionally
     /// integrate to `now` first, recompute the next self-transition, and
-    /// enqueue a generation-stamped wake for it. `check` runs the
-    /// engine's invariant audit afterwards (debug configs). The
+    /// re-key the server's wake slot to it. `check` runs the engine's
+    /// invariant audit afterwards (debug configs). The
     /// integrate/recompute work is charged to the profiler's alloc
-    /// phase, the queue push to its wake phase.
+    /// phase, the slot update to its wake phase.
     fn rearm(
         &mut self,
         engine: &mut ServerEngine,
@@ -206,26 +252,11 @@ impl WakeScheduler {
             engine.advance_to(now);
         }
         let wake = engine.reschedule(now);
-        if let Some(wake) = wake {
-            if wake <= self.end {
-                // Alloc and wake-push windows share the boundary read.
-                let t1 = LoopProfiler::clock();
-                prof.add_between(Phase::Alloc, t0, t1);
-                self.queue.push(
-                    self.map.shard_of(engine.id()),
-                    wake,
-                    Event::Wake {
-                        server: engine.id().0,
-                        generation: engine.generation(),
-                    },
-                );
-                prof.add(Phase::Wake, t1);
-            } else {
-                prof.add(Phase::Alloc, t0);
-            }
-        } else {
-            prof.add(Phase::Alloc, t0);
-        }
+        // Alloc and wake windows share the boundary read.
+        let t1 = LoopProfiler::clock();
+        prof.add_between(Phase::Alloc, t0, t1);
+        self.set_wake(engine, wake);
+        prof.add(Phase::Wake, t1);
         if check {
             engine.check_invariants();
         }
@@ -245,20 +276,9 @@ impl WakeScheduler {
             "arm() without a fresh reschedule on {}",
             engine.id()
         );
-        if let Some(wake) = engine.last_wake() {
-            if wake <= self.end {
-                let t1 = LoopProfiler::clock();
-                self.queue.push(
-                    self.map.shard_of(engine.id()),
-                    wake,
-                    Event::Wake {
-                        server: engine.id().0,
-                        generation: engine.generation(),
-                    },
-                );
-                prof.add(Phase::Wake, t1);
-            }
-        }
+        let t1 = LoopProfiler::clock();
+        self.set_wake(engine, engine.last_wake());
+        prof.add(Phase::Wake, t1);
         if check {
             engine.check_invariants();
         }
@@ -398,6 +418,7 @@ impl<'a> SimWorld<'a> {
             queue: ShardedQueue::new(n_shards, 1024),
             map: shard_map,
             end: config.duration,
+            keyed_gen: vec![0; engines.len()],
         };
         sched.push_at(generator.peek_time(), Event::Arrival);
 
@@ -483,8 +504,8 @@ impl<'a> SimWorld<'a> {
     /// [`Phase::Barrier`] on the elected shard) and runs that drain the
     /// elected shard up to its cross-shard horizon; with one shard the
     /// barrier is vacuous and a single run drains the whole queue.
-    /// Staleness of wakes is decided here, before the event counts as
-    /// processed.
+    /// Every pop is live (wake slots are re-keyed in place), so every
+    /// pop is dispatched and counted.
     fn run_loop(&mut self, probes: &mut [&mut dyn Probe]) {
         let multi = self.sched.queue.n_shards() > 1;
         // Parallel epochs engage only when the config's features keep
@@ -530,8 +551,11 @@ impl<'a> SimWorld<'a> {
             } else {
                 None
             };
+            // The run's first queue window opens where the election
+            // closes (one shared read).
+            let mut t_prev = LoopProfiler::clock();
             if let Some(tb) = tb {
-                self.profs[shard].add(Phase::Barrier, tb);
+                self.profs[shard].add_between(Phase::Barrier, tb, t_prev);
             }
             let t_elect_end = self.exec.as_ref().map(|_| LoopProfiler::clock());
             let events_before = self.events_processed;
@@ -539,16 +563,14 @@ impl<'a> SimWorld<'a> {
                 let now = entry.time;
                 debug_assert!(now >= self.last_time, "event order violated");
                 self.last_time = now;
-                if let Event::Wake { server, generation } = entry.payload {
-                    if generation != self.engines[server as usize].generation() {
-                        continue; // superseded by a later reallocation
-                    }
-                }
                 self.events_processed += 1;
+                // The queue window runs from the previous event's closing
+                // timestamp to this pop, so it costs no extra read.
                 let t0 = LoopProfiler::clock();
+                self.profs[self.cur_shard].add_between(Phase::Queue, t_prev, t0);
                 match entry.payload {
                     Event::Arrival => self.on_arrival(now, probes),
-                    Event::Wake { server, .. } => self.on_wake(now, server, probes),
+                    Event::Wake { server } => self.on_wake(now, server, probes),
                     Event::ServerDown(server) => self.on_server_down(now, server, probes),
                     Event::ServerUp(server) => self.on_server_up(now, server, probes),
                     Event::CopyDone(id) => self.on_copy_done(now, id, probes),
@@ -565,6 +587,7 @@ impl<'a> SimWorld<'a> {
                 let t2 = LoopProfiler::clock();
                 self.profs[self.cur_shard].add_between(Phase::Probe, t1, t2);
                 self.profs[self.cur_shard].add_between(Phase::Dispatch, t0, t2);
+                t_prev = t2;
             }
             if let Some((start, slack)) = election {
                 let summary = crate::events::RunSummary {
@@ -1099,11 +1122,12 @@ impl<'a> SimWorld<'a> {
             .push_at(self.generator.peek_time(), Event::Arrival);
     }
 
-    /// A live wake: integrate the server, reap finished streams, feed the
+    /// A wake: integrate the server, reap finished streams, feed the
     /// waitlist with any freed slots, and re-arm.
     fn on_wake(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
         let t0 = LoopProfiler::clock();
         let e = &mut self.engines[server as usize];
+        debug_assert_eq!(e.last_wake(), Some(now), "popped a superseded wake");
         e.advance_to(now);
         self.profs[self.cur_shard].add(Phase::Alloc, t0);
         let e = &mut self.engines[server as usize];
@@ -1193,6 +1217,7 @@ impl<'a> SimWorld<'a> {
     /// the rest, and schedule the repair.
     fn on_server_down(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
         let taken = self.engines[server as usize].fail(now);
+        self.sched.disarm(ServerId(server));
         if let Some(mgr) = self.replication.as_mut() {
             mgr.on_server_failed(ServerId(server));
         }
@@ -1252,6 +1277,7 @@ impl<'a> SimWorld<'a> {
     /// the fresh capacity and schedule the next failure.
     fn on_server_up(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
         self.engines[server as usize].repair(now);
+        self.sched.disarm(ServerId(server));
         self.profs[self.cur_shard].emit(probes, now, &SimEvent::ServerUp { server });
         self.serve_from_waitlist(now, probes);
         let up_time = self
@@ -1469,24 +1495,23 @@ struct WorkerCtx<'e> {
 }
 
 /// Runs one shard's epoch burst to exhaustion. The body mirrors the
-/// classic loop's wake path — staleness check, integrate, reap, re-arm
-/// — except that emissions are buffered for the barrier instead of
-/// reaching probes directly, and the re-armed wake goes to the private
-/// queue. Parallel eligibility guarantees the worker shard holds only
-/// wake events and that the wake path needs no waitlist, replication,
-/// or location-hint state.
+/// classic loop's wake path — integrate, reap, re-arm — except that
+/// emissions are buffered for the barrier instead of reaching probes
+/// directly, and the re-armed wake goes to the private queue's slot.
+/// Parallel eligibility guarantees the worker shard holds only wake
+/// events and that the wake path needs no waitlist, replication, or
+/// location-hint state.
 fn worker_burst(ctx: &mut WorkerCtx<'_>) {
     let t_start = LoopProfiler::clock();
+    let mut t_prev = t_start;
     while let Some((now, ev)) = ctx.w.pop() {
-        let Event::Wake { server, generation } = ev else {
+        let t0 = LoopProfiler::clock();
+        ctx.prof.add_between(Phase::Queue, t_prev, t0);
+        let Event::Wake { server } = ev else {
             unreachable!("non-wake event on a worker shard of an eligible config");
         };
         let e = &mut ctx.engines[server as usize - ctx.base];
-        if generation != e.generation() {
-            ctx.w.discard(); // superseded by a later reallocation
-            continue;
-        }
-        let t0 = LoopProfiler::clock();
+        debug_assert_eq!(e.last_wake(), Some(now), "popped a superseded wake");
         e.advance_to(now);
         ctx.prof.add(Phase::Alloc, t0);
         let lo = ctx.emissions.len() as u32;
@@ -1497,24 +1522,18 @@ fn worker_burst(ctx: &mut WorkerCtx<'_>) {
                 server,
             });
         }
+        // The popped wake was this server's slot entry, so the slot is
+        // idle: a reschedule with no wake inside the horizon leaves it so.
         let ta = LoopProfiler::clock();
-        if let Some(wake) = e.reschedule(now) {
-            if wake <= ctx.end {
+        match e.reschedule(now).filter(|&t| t <= ctx.end) {
+            Some(wake) => {
                 let t1 = LoopProfiler::clock();
                 ctx.prof.add_between(Phase::Alloc, ta, t1);
-                ctx.w.push(
-                    wake,
-                    Event::Wake {
-                        server,
-                        generation: e.generation(),
-                    },
-                );
+                ctx.w
+                    .push_keyed(server as usize, wake, Event::Wake { server });
                 ctx.prof.add(Phase::Wake, t1);
-            } else {
-                ctx.prof.add(Phase::Alloc, ta);
             }
-        } else {
-            ctx.prof.add(Phase::Alloc, ta);
+            None => ctx.prof.add(Phase::Alloc, ta),
         }
         if ctx.check {
             e.check_invariants();
@@ -1523,6 +1542,7 @@ fn worker_burst(ctx: &mut WorkerCtx<'_>) {
         let t2 = LoopProfiler::clock();
         ctx.prof.add_between(Phase::Dispatch, t0, t2);
         ctx.w.record((lo, hi));
+        t_prev = t2;
     }
     ctx.window = (t_start, LoopProfiler::clock());
 }
@@ -1768,6 +1788,95 @@ mod tests {
         assert!(profile.alloc.calls > 0, "every trial re-arms engines");
         assert!(profile.wake.calls > 0, "every trial schedules wakes");
         assert!(profile.probe.calls > 0, "every event is published");
+    }
+
+    /// A re-arm with no reschedule in between keeps the wake slot's key
+    /// (the generation-filtered loop popped the first push of a
+    /// generation) but still draws a sequence number; a reschedule
+    /// re-keys under a fresh one, and a failure disarms the slot.
+    #[test]
+    fn rearm_without_reschedule_keeps_the_wake_key() {
+        let mut sched = WakeScheduler {
+            queue: ShardedQueue::new(1, 8),
+            map: ShardMap::new(1, 1),
+            end: SimTime::from_hours(1.0),
+            keyed_gen: vec![0],
+        };
+        let prof = LoopProfiler::new();
+        let now = SimTime::ZERO;
+        let mut e = ServerEngine::new(ServerId(0), 30.0, sct_transmission::SchedulerKind::Eftf);
+        let client = ClientProfile::new(30.0, 30.0);
+        let stream = Stream::new(StreamId(1), sct_media::VideoId(0), 300.0, 3.0, client, now);
+        e.admit(stream, now);
+        sched.arm(&e, now, true, &prof);
+        let key = sched.queue.armed(0, 0).expect("armed");
+        sched.arm(&e, now, true, &prof);
+        assert_eq!(
+            sched.queue.armed(0, 0),
+            Some(key),
+            "no reschedule: same key"
+        );
+        assert_eq!(sched.queue.len(), 1);
+        e.reschedule(now);
+        sched.arm(&e, now, true, &prof);
+        let (t, seq) = sched.queue.armed(0, 0).expect("still armed");
+        assert_eq!(
+            (t, seq),
+            (key.0, key.1 + 2),
+            "fresh key after the burned seq"
+        );
+        e.fail(now);
+        sched.disarm(ServerId(0));
+        assert!(sched.queue.is_empty());
+    }
+
+    /// Dispatch, queue and barrier windows tile the monolithic loop, so
+    /// they account for its wall clock: only the loop's set-up and its
+    /// final (empty) pop fall outside them.
+    #[test]
+    fn profile_phases_add_up_to_wall_time() {
+        let cfg = SimConfig::builder(SystemSpec::tiny_test())
+            .duration_hours(6.0)
+            .warmup_hours(0.25)
+            .seed(42)
+            .build();
+        let (out, profile) = Simulation::run_profiled(&cfg, &mut []);
+        assert!(out.events_processed >= 10_000, "{}", out.events_processed);
+        assert_eq!(
+            profile.queue.calls, out.events_processed,
+            "one queue window per pop"
+        );
+        assert_eq!(profile.barrier.calls, 0, "monolithic loop");
+        let covered = profile.dispatch.secs + profile.queue.secs + profile.barrier.secs;
+        let gap = (profile.wall_secs - covered).abs() / profile.wall_secs;
+        assert!(
+            gap <= 0.05,
+            "phases cover {covered:.6} s of {:.6} s wall ({:.1}% unaccounted)",
+            profile.wall_secs,
+            100.0 * gap
+        );
+    }
+
+    /// A `huge` slice is arrival-heavy, and every admission moves its
+    /// server's pending wake. The wake slot is re-keyed in place, so
+    /// the queue never holds a superseded wake: every pop is dispatched
+    /// (one queue window per event), and `on_wake`'s debug assertion that
+    /// a popped wake is its engine's current schedule holds throughout.
+    #[test]
+    fn huge_slice_dispatches_every_pop() {
+        let cfg = SimConfig::builder(SystemSpec::huge())
+            .duration_hours(20.0 / 3600.0)
+            .warmup_hours(0.0)
+            .seed(1)
+            .build();
+        let (out, profile) = Simulation::run_profiled(&cfg, &mut []);
+        assert!(out.stats.arrivals > 10_000, "{}", out.stats.arrivals);
+        assert!(
+            out.events_processed > out.stats.arrivals,
+            "wakes fire as well as arrivals"
+        );
+        assert_eq!(profile.queue.calls, out.events_processed);
+        assert_eq!(profile.dispatch.calls, out.events_processed);
     }
 
     #[test]

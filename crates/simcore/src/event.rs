@@ -1,36 +1,32 @@
 //! Deterministic event queue.
 //!
-//! A calendar queue (Brown 1988) keyed by `(time, sequence)`: pending
-//! events hash into `buckets.len()` "days" by `floor(time / width) mod
-//! days`, and a cursor walks one "year" of days per pop, so the common
-//! case touches a handful of nearly-empty buckets instead of rebalancing
-//! a heap. Events at equal timestamps pop in insertion order — the
-//! explicit `seq` counter makes runs reproducible regardless of bucket
-//! internals, which heap-based queues do not guarantee for free.
+//! Pending events live in two binary heaps that share one `(time, seq)`
+//! key space:
+//!
+//! * **Keyed slots** — an indexed min-heap holding at most one entry per
+//!   slot. Re-arming a slot ([`EventQueue::push_keyed`]) re-keys its
+//!   entry in place and [`EventQueue::cancel`] removes it, both in
+//!   O(log slots). The simulator gives every server one slot for its
+//!   next wake, so a reallocation that moves the wake replaces the old
+//!   entry instead of leaving a tombstone behind for the pop path to
+//!   discard.
+//! * **Plain events** — a [`BinaryHeap`] for everything else; entries
+//!   are never cancelled. [`EventEntry`]'s `Ord` is reversed, so the
+//!   max-heap pops the earliest key.
+//!
+//! `pop` takes the smaller of the two heads. Events at equal timestamps
+//! pop in insertion order: every push — keyed or plain — draws the next
+//! value of one `seq` counter, so runs are reproducible regardless of
+//! heap internals.
 //!
 //! Determinism contract: `pop` always returns the pending entry with the
 //! minimum `(time, seq)` pair. Because `seq` is unique, that key is a
-//! total order, so the pop sequence is a pure function of the push
-//! sequence — bucket count, bucket width, and resize history cannot
-//! change it.
-//!
-//! Resizing is hysteretic: the calendar grows at `len > 2·days` and
-//! shrinks only below `days / 8`, so a workload hovering at one
-//! threshold cannot alternate O(len) rebuilds. Width derivation samples
-//! the *earliest* entries (see `rebuild`), and a pop that had to fall
-//! back to the full far-future sweep re-centers the calendar on the
-//! surviving tail — both guards exist because an alternating
-//! near/far-future spacing pattern used to collapse the dense head into
-//! one bucket and pay an O(len) scan on every pop.
-//!
-//! Cancellation is handled by the *generation* pattern at the call site
-//! (each server keeps a wake-generation counter and ignores stale wakes)
-//! rather than by tombstones inside the queue — that keeps this structure
-//! trivial and allocation-free per operation after warm-up.
+//! total order, so the pop sequence is a pure function of the push,
+//! re-key and cancel sequence.
 
 use crate::time::SimTime;
-use std::cell::Cell;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An event scheduled at a point in simulated time.
 #[derive(Clone, Debug)]
@@ -41,6 +37,12 @@ pub struct EventEntry<T> {
     pub seq: u64,
     /// The event payload.
     pub payload: T,
+}
+
+impl<T> EventEntry<T> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl<T> PartialEq for EventEntry<T> {
@@ -58,8 +60,8 @@ impl<T> PartialOrd for EventEntry<T> {
 
 impl<T> Ord for EventEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed (earliest-first), so entries drop into a max-heap or
-        // `sort` + `pop` pattern unchanged from the old binary-heap days.
+        // Reversed (earliest-first), so entries drop into a max-heap
+        // (`BinaryHeap`) or a `sort` + `pop` pattern unchanged.
         other
             .time
             .cmp(&self.time)
@@ -67,46 +69,40 @@ impl<T> Ord for EventEntry<T> {
     }
 }
 
-/// Fewest buckets the calendar ever holds.
-const MIN_BUCKETS: usize = 8;
-/// Narrowest bucket width (seconds); bounds the slot index range.
-const MIN_WIDTH: f64 = 1e-9;
-/// Head-sample size for width derivation: the earliest `WIDTH_SAMPLE`
-/// entries set the working timescale, so one far-future outlier cannot
-/// inflate the width and collapse the dense head into a single bucket.
-const WIDTH_SAMPLE: usize = 64;
-
-/// Work counters for the calendar's internal scans; used by regression
-/// tests to pin amortized cost, not by the simulation.
+/// Scan-work counters, kept source-compatible for callers that report
+/// them. Both heaps locate their head in O(1) and never scan, sweep or
+/// rebuild, so every counter reads 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueCounters {
-    /// Entries examined across all `locate` scans.
+    /// Entries examined by head scans (always 0).
     pub scanned: u64,
-    /// Times `locate` fell back to the O(len) full sweep.
+    /// Full-queue sweeps (always 0).
     pub sweeps: u64,
-    /// Bucket-array rebuilds (grow, shrink, or sweep re-centering).
+    /// Storage rebuilds (always 0).
     pub rebuilds: u64,
 }
 
-/// A min-priority queue of timed events with FIFO tie-breaking, backed by
-/// a calendar queue.
+/// Slot position marking "not armed".
+const IDLE: u32 = u32::MAX;
+
+/// A keyed-heap node: the slot it belongs to and its entry.
+#[derive(Clone, Debug)]
+struct Keyed<T> {
+    slot: u32,
+    entry: EventEntry<T>,
+}
+
+/// A min-priority queue of timed events with FIFO tie-breaking and
+/// cancellable per-slot entries. See the module docs.
 #[derive(Clone, Debug)]
 pub struct EventQueue<T> {
-    /// One unsorted `Vec` per calendar day.
-    buckets: Vec<Vec<EventEntry<T>>>,
-    /// Total pending entries across all buckets.
-    len: usize,
+    /// Events that are never cancelled.
+    plain: BinaryHeap<EventEntry<T>>,
+    /// Armed slots, a min-heap on `(time, seq)`.
+    keyed: Vec<Keyed<T>>,
+    /// Slot → its index in `keyed`, or [`IDLE`]. Grows on demand.
+    pos: Vec<u32>,
     next_seq: u64,
-    /// Seconds spanned by one bucket ("day length").
-    width: f64,
-    /// Absolute day index (`floor(time / width)`) the pop scan starts
-    /// from. Invariant: no pending entry lives in an earlier day —
-    /// `push` rewinds the cursor when scheduling into the past.
-    cursor_slot: i64,
-    /// Scan-work counters (`Cell` so `locate` can stay `&self`).
-    scanned: Cell<u64>,
-    sweeps: Cell<u64>,
-    rebuilds: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -121,35 +117,57 @@ impl<T> EventQueue<T> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `cap` events.
+    /// Creates an empty queue with room for `cap` plain events.
     pub fn with_capacity(cap: usize) -> Self {
-        let days = (cap / 2).next_power_of_two().clamp(MIN_BUCKETS, 4096);
         EventQueue {
-            buckets: (0..days).map(|_| Vec::new()).collect(),
-            len: 0,
+            plain: BinaryHeap::with_capacity(cap),
+            keyed: Vec::new(),
+            pos: Vec::new(),
             next_seq: 0,
-            width: 1.0,
-            cursor_slot: 0,
-            scanned: Cell::new(0),
-            sweeps: Cell::new(0),
-            rebuilds: 0,
         }
-    }
-
-    /// Absolute day index for `time` under the current width.
-    fn slot_of(&self, time: SimTime) -> i64 {
-        // `as i64` saturates on overflow, which keeps even absurd
-        // timestamps ordered correctly (they all land in the last day and
-        // the (time, seq) scan inside it still picks the true minimum).
-        (time.as_secs() / self.width).floor() as i64
     }
 
     /// Schedules `payload` at `time`. Panics on non-finite times — an
     /// infinite wake must be expressed by *not* scheduling.
     pub fn push(&mut self, time: SimTime, payload: T) {
+        let seq = self.draw_seq();
+        self.push_with_seq(time, seq, payload);
+    }
+
+    /// Arms `slot` at `time` under the next sequence number. A slot that
+    /// is already armed is re-keyed in place: its previous entry is
+    /// dropped, so at most one entry per slot is ever pending.
+    pub fn push_keyed(&mut self, slot: usize, time: SimTime, payload: T) {
+        let seq = self.draw_seq();
+        self.push_keyed_with_seq(slot, time, seq, payload);
+    }
+
+    /// Disarms `slot`, returning its pending entry (`None` if idle).
+    pub fn cancel(&mut self, slot: usize) -> Option<EventEntry<T>> {
+        let i = *self.pos.get(slot)?;
+        if i == IDLE {
+            return None;
+        }
+        Some(self.remove_keyed(i as usize).entry)
+    }
+
+    /// The `(time, seq)` key `slot` is armed at, if any.
+    pub fn armed(&self, slot: usize) -> Option<(SimTime, u64)> {
+        let &i = self.pos.get(slot)?;
+        (i != IDLE).then(|| self.keyed[i as usize].entry.key())
+    }
+
+    /// Draws and discards the next sequence number. A re-arm that keeps
+    /// a slot's existing key still consumes one, so every later key is
+    /// the one a queue that had pushed the re-arm would assign.
+    pub fn skip_seq(&mut self) {
+        self.next_seq += 1;
+    }
+
+    fn draw_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_with_seq(time, seq, payload);
+        seq
     }
 
     /// Schedules `payload` at `time` under an externally-assigned `seq`.
@@ -162,196 +180,175 @@ impl<T> EventQueue<T> {
             time.is_finite(),
             "cannot schedule an event at infinite time"
         );
-        let slot = self.slot_of(time);
-        // Scheduling into the past (relative to the last pop) is legal:
-        // rewind the cursor so the scan cannot skip the new entry.
-        if self.len == 0 || slot < self.cursor_slot {
-            self.cursor_slot = slot;
-        }
-        let days = self.buckets.len();
-        self.buckets[slot.rem_euclid(days as i64) as usize].push(EventEntry { time, seq, payload });
-        self.len += 1;
-        if self.len > 2 * days {
-            self.rebuild(2 * days);
-        }
+        self.plain.push(EventEntry { time, seq, payload });
     }
 
-    /// Finds the pending entry with the minimum `(time, seq)` key:
-    /// `(bucket index, position in bucket, its day, swept)`. Scans at
-    /// most one calendar year from the cursor, then falls back to a
-    /// direct sweep for sparse far-future tails (`swept = true`, so `pop`
-    /// can re-center the calendar on the surviving tail).
-    fn locate(&self) -> Option<(usize, usize, i64, bool)> {
-        if self.len == 0 {
+    /// [`EventQueue::push_keyed`] under an externally-assigned `seq` (same
+    /// contract as [`EventQueue::push_with_seq`]). Returns the entry the
+    /// re-key replaced, if the slot was armed.
+    pub(crate) fn push_keyed_with_seq(
+        &mut self,
+        slot: usize,
+        time: SimTime,
+        seq: u64,
+        payload: T,
+    ) -> Option<EventEntry<T>> {
+        assert!(
+            time.is_finite(),
+            "cannot schedule an event at infinite time"
+        );
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, IDLE);
+        }
+        let entry = EventEntry { time, seq, payload };
+        let i = self.pos[slot];
+        if i == IDLE {
+            let i = self.keyed.len();
+            self.pos[slot] = i as u32;
+            self.keyed.push(Keyed {
+                slot: slot as u32,
+                entry,
+            });
+            self.sift_up(i);
             return None;
         }
-        let days = self.buckets.len() as i64;
-        let mut scanned = 0u64;
-        for offset in 0..days {
-            let slot = self.cursor_slot + offset;
-            let bucket = slot.rem_euclid(days) as usize;
-            let mut best: Option<usize> = None;
-            scanned += self.buckets[bucket].len() as u64;
-            for (pos, e) in self.buckets[bucket].iter().enumerate() {
-                // Entries from later years share the bucket; skip them.
-                // The integer day test is exact, unlike a `time < edge`
-                // comparison which can mis-round at bucket boundaries.
-                if self.slot_of(e.time) > slot {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let cur = &self.buckets[bucket][b];
-                        (e.time, e.seq) < (cur.time, cur.seq)
-                    }
-                };
-                if better {
-                    best = Some(pos);
-                }
-            }
-            if let Some(pos) = best {
-                self.scanned.set(self.scanned.get() + scanned);
-                return Some((bucket, pos, slot, false));
-            }
+        let i = i as usize;
+        let later = entry.key() > self.keyed[i].entry.key();
+        let old = std::mem::replace(&mut self.keyed[i].entry, entry);
+        if later {
+            self.sift_down(i);
+        } else {
+            self.sift_up(i);
         }
-        // Nothing within a year of the cursor: sweep everything for the
-        // global minimum. O(len); the caller re-centers afterwards so a
-        // sparse far-future tail cannot pay this price per pop.
-        self.sweeps.set(self.sweeps.get() + 1);
-        self.scanned
-            .set(self.scanned.get() + scanned + self.len as u64);
-        let mut best: Option<(usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (pos, e) in bucket.iter().enumerate() {
-                let better = match best {
-                    None => true,
-                    Some((bb, bp)) => {
-                        let cur = &self.buckets[bb][bp];
-                        (e.time, e.seq) < (cur.time, cur.seq)
-                    }
-                };
-                if better {
-                    best = Some((b, pos));
-                }
-            }
+        Some(old)
+    }
+
+    /// `true` when the plain head precedes the keyed head (or the keyed
+    /// heap is empty). Keys are unique, so the comparison is strict.
+    fn plain_first(&self) -> bool {
+        match (self.plain.peek(), self.keyed.first()) {
+            (Some(p), Some(k)) => p.key() < k.entry.key(),
+            (_, k) => k.is_none(),
         }
-        best.map(|(b, pos)| (b, pos, self.slot_of(self.buckets[b][pos].time), true))
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<EventEntry<T>> {
-        let (bucket, pos, slot, swept) = self.locate()?;
-        self.cursor_slot = slot;
-        let entry = self.buckets[bucket].swap_remove(pos);
-        self.len -= 1;
-        let days = self.buckets.len();
-        if swept && self.len > 1 {
-            // The head the width was derived from has drained and the
-            // survivors live beyond a calendar year: re-derive the width
-            // from them so the next pops walk days again instead of
-            // sweeping. Same O(len) as the sweep just paid, and it
-            // converts every following pop back to the cheap path.
-            self.rebuild(days);
-        } else if days > MIN_BUCKETS && self.len < days / 8 {
-            self.rebuild(days / 2);
+        if self.plain_first() {
+            self.plain.pop()
+        } else {
+            Some(self.remove_keyed(0).entry)
         }
-        Some(entry)
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate()
-            .map(|(b, pos, _, _)| self.buckets[b][pos].time)
+        self.peek_key().map(|(t, _)| t)
     }
 
     /// The full `(time, seq)` key of the earliest pending event. Keys are
     /// totally ordered (seq is unique), which is what the cross-shard
     /// barrier compares when deciding how far a shard may advance.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.locate().map(|(b, pos, _, _)| {
-            let e = &self.buckets[b][pos];
-            (e.time, e.seq)
-        })
+        if self.plain_first() {
+            self.plain.peek().map(EventEntry::key)
+        } else {
+            Some(self.keyed[0].entry.key())
+        }
     }
 
-    /// Internal scan-work counters (see [`QueueCounters`]).
+    /// Scan-work counters (see [`QueueCounters`]; all 0 for the heaps).
     pub fn counters(&self) -> QueueCounters {
-        QueueCounters {
-            scanned: self.scanned.get(),
-            sweeps: self.sweeps.get(),
-            rebuilds: self.rebuilds,
-        }
+        QueueCounters::default()
     }
 
-    /// Redistributes every entry over `days` buckets, re-deriving the
-    /// bucket width from the observed inter-event spacing (Brown's rule
-    /// of thumb: a day should hold a few events on average). The width
-    /// comes from the *earliest* [`WIDTH_SAMPLE`] entries: a global
-    /// `(max - min) / len` estimate lets one far-future outlier inflate
-    /// the width until the whole dense head lands in a single bucket and
-    /// every pop degenerates to an O(len) bucket scan.
-    fn rebuild(&mut self, days: usize) {
-        self.rebuilds += 1;
-        let mut all: Vec<EventEntry<T>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        if all.len() >= 2 {
-            let mut times: Vec<f64> = all.iter().map(|e| e.time.as_secs()).collect();
-            let k = times.len().min(WIDTH_SAMPLE);
-            times.select_nth_unstable_by(k - 1, f64::total_cmp);
-            let head = &mut times[..k];
-            head.sort_by(f64::total_cmp);
-            let head_span = head[k - 1] - head[0];
-            if head_span > 0.0 {
-                self.width = (2.0 * head_span / k as f64).max(MIN_WIDTH);
-            } else {
-                // Degenerate head (an equal-time burst): fall back to the
-                // global span so the tail still spreads over the year.
-                let min_t = times[0];
-                let max_t = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if max_t > min_t {
-                    self.width = (2.0 * (max_t - min_t) / all.len() as f64).max(MIN_WIDTH);
-                }
-            }
-        }
-        if self.buckets.len() != days {
-            self.buckets.resize_with(days, Vec::new);
-            self.buckets.truncate(days);
-        }
-        // Width changed, so every slot assignment changes: realign the
-        // cursor to the earliest entry's day to restore the invariant.
-        if let Some(first) = all.first() {
-            let mut min_slot = self.slot_of(first.time);
-            for e in &all[1..] {
-                min_slot = min_slot.min(self.slot_of(e.time));
-            }
-            self.cursor_slot = min_slot;
-        }
-        for e in all {
-            let bucket = self.slot_of(e.time).rem_euclid(days as i64) as usize;
-            self.buckets[bucket].push(e);
-        }
-    }
-
-    /// Number of pending events.
+    /// Number of pending events, keyed and plain.
     pub fn len(&self) -> usize {
-        self.len
+        self.plain.len() + self.keyed.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Drops all pending events. The sequence counter keeps counting, so
-    /// FIFO ordering is preserved across a clear.
+    /// Drops all pending events and disarms every slot. The sequence
+    /// counter keeps counting, so FIFO ordering is preserved across a
+    /// clear.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+        self.plain.clear();
+        self.keyed.clear();
+        self.pos.fill(IDLE);
+    }
+
+    /// Empties the queue, yielding every pending entry with its slot
+    /// (`None` for plain events), in no particular order. The epoch
+    /// barrier uses it to fold a burst's provisional queue back into the
+    /// shard's queue under final sequence numbers.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (Option<usize>, EventEntry<T>)> + '_ {
+        self.pos.fill(IDLE);
+        self.plain.drain().map(|e| (None, e)).chain(
+            self.keyed
+                .drain(..)
+                .map(|k| (Some(k.slot as usize), k.entry)),
+        )
+    }
+
+    /// Removes the keyed node at heap index `i` and restores the heap.
+    fn remove_keyed(&mut self, i: usize) -> Keyed<T> {
+        let last = self.keyed.len() - 1;
+        self.swap(i, last);
+        let node = self.keyed.pop().expect("index within the keyed heap");
+        self.pos[node.slot as usize] = IDLE;
+        if i < self.keyed.len() {
+            // The node moved into `i` came from the bottom: it may need
+            // to go either way relative to its new neighbours.
+            self.sift_down(i);
+            self.sift_up(i);
         }
-        self.len = 0;
+        node
+    }
+
+    fn less(&self, a: usize, b: usize) -> bool {
+        self.keyed[a].entry.key() < self.keyed[b].entry.key()
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.keyed.swap(a, b);
+        self.pos[self.keyed[a].slot as usize] = a as u32;
+        self.pos[self.keyed[b].slot as usize] = b as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.less(i, parent) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.keyed.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.less(right, left) {
+                right
+            } else {
+                left
+            };
+            if !self.less(child, i) {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
     }
 }
 
@@ -413,9 +410,11 @@ mod tests {
         assert!(q.is_empty());
         q.push(SimTime::ZERO, 1);
         q.push(SimTime::ZERO, 2);
-        assert_eq!(q.len(), 2);
+        q.push_keyed(3, SimTime::ZERO, 3);
+        assert_eq!(q.len(), 3);
         q.clear();
         assert!(q.is_empty());
+        assert_eq!(q.armed(3), None, "clear disarms every slot");
     }
 
     #[test]
@@ -423,6 +422,48 @@ mod tests {
     fn rejects_infinite_time() {
         let mut q = EventQueue::new();
         q.push(SimTime::FAR_FUTURE, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "infinite time")]
+    fn rejects_infinite_keyed_time() {
+        let mut q = EventQueue::new();
+        q.push_keyed(0, SimTime::FAR_FUTURE, ());
+    }
+
+    /// A re-arm replaces the slot's entry in place: one pending entry per
+    /// slot, popped at the new key; a cancel removes it.
+    #[test]
+    fn keyed_slots_rekey_and_cancel_in_place() {
+        let mut q = EventQueue::new();
+        q.push_keyed(0, SimTime::from_secs(5.0), "a@5");
+        q.push_keyed(1, SimTime::from_secs(3.0), "b@3");
+        q.push(SimTime::from_secs(4.0), "plain@4");
+        // Move slot 0 earlier and slot 1 later.
+        q.push_keyed(0, SimTime::from_secs(1.0), "a@1");
+        q.push_keyed(1, SimTime::from_secs(9.0), "b@9");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.armed(0), Some((SimTime::from_secs(1.0), 3)));
+        assert_eq!(q.armed(7), None, "never-armed slot");
+        assert_eq!(q.pop().unwrap().payload, "a@1");
+        assert_eq!(q.armed(0), None, "a popped slot is idle");
+        assert_eq!(q.cancel(0), None);
+        assert_eq!(q.pop().unwrap().payload, "plain@4");
+        assert_eq!(q.cancel(1).map(|e| e.payload), Some("b@9"));
+        assert!(q.pop().is_none());
+        assert!(q.is_empty());
+    }
+
+    /// `skip_seq` burns exactly one sequence number.
+    #[test]
+    fn skip_seq_consumes_one_number() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 0);
+        q.skip_seq();
+        q.push_keyed(4, SimTime::ZERO, 1);
+        assert_eq!(q.armed(4), Some((SimTime::ZERO, 2)));
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        assert_eq!(q.pop().map(|e| e.seq), Some(2));
     }
 
     /// A trivially-correct model: pops the minimum `(time, seq)` pair.
@@ -456,8 +497,8 @@ mod tests {
 
     /// The seq-counter FIFO contract, differentially: an arbitrary
     /// deterministic push/pop interleaving (duplicate timestamps, pushes
-    /// into the past, bursts big enough to force several grows and
-    /// shrinks) must match the reference model event for event.
+    /// into the past, same-time bursts) must match the reference model
+    /// event for event.
     #[test]
     fn fifo_contract_matches_reference_model() {
         let mut rng = crate::Rng::new(0x5EC_C0FFEE);
@@ -500,19 +541,15 @@ mod tests {
         assert!(model.pop().is_none());
     }
 
-    /// FIFO among equal timestamps survives internal resizes: a burst of
-    /// 1000 same-time events forces several bucket-doubling rebuilds on
-    /// the way in and halving rebuilds on the way out, none of which may
-    /// reorder the tie-broken sequence.
+    /// FIFO among equal timestamps holds for a large burst, with an
+    /// earlier and a later event around it.
     #[test]
-    fn fifo_contract_survives_resizes() {
+    fn fifo_contract_survives_a_large_burst() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(7.25);
         for i in 0..1000u32 {
             q.push(t, i);
         }
-        // Interleave a distinct earlier and later event to exercise the
-        // cursor across the burst.
         q.push(SimTime::from_secs(1.0), u32::MAX);
         q.push(SimTime::from_secs(90.0), u32::MAX - 1);
         assert_eq!(q.pop().unwrap().payload, u32::MAX);
@@ -523,8 +560,7 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Far-future outliers (beyond one calendar year from the cursor)
-    /// exercise the direct-sweep fallback and still pop in key order.
+    /// Far-future outliers still pop in key order.
     #[test]
     fn far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
@@ -534,96 +570,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, "now");
         assert_eq!(q.pop().unwrap().payload, "soak");
         assert_eq!(q.pop().unwrap().payload, "soak2");
-    }
-
-    /// The pathological alternating-spacing workload: a dense head of
-    /// closely-spaced events interleaved with far-future outliers. Before
-    /// the head-sampled width derivation, every rebuild set
-    /// `width ≈ 2·(max−min)/len`, which the outliers inflated until the
-    /// whole head hashed into a single bucket — every pop then scanned
-    /// O(len) entries. This pins the amortized scan cost.
-    #[test]
-    fn alternating_spacing_stays_amortized() {
-        let mut q = EventQueue::new();
-        let mut ops = 0u64;
-        // Dense head: 1 s spacing. Outliers: ~30 years out, one per 40
-        // near events, far enough that the head's year never reaches
-        // them.
-        for i in 0..4000u64 {
-            q.push(SimTime::from_secs(i as f64), i);
-            ops += 1;
-            if i % 40 == 0 {
-                q.push(SimTime::from_secs(1e9 + i as f64), i);
-                ops += 1;
-            }
-        }
-        let mut last = (SimTime::ZERO, 0);
-        while let Some(e) = q.pop() {
-            ops += 1;
-            assert!((e.time, e.seq) >= last, "order violated");
-            last = (e.time, e.seq);
-        }
-        let c = q.counters();
-        assert!(
-            c.scanned < 64 * ops,
-            "amortized scan cost blew up: {} entries examined over {ops} ops ({c:?})",
-            c.scanned
-        );
-        // Rebuilds stay logarithmic-ish in the population, not per-op.
-        assert!(c.rebuilds < 64, "resize thrash: {c:?}");
-    }
-
-    /// A sparse far-future tail (the sweep fallback) must re-center
-    /// instead of sweeping once per pop: total sweeps stay O(1)-ish even
-    /// with hundreds of events spread over decades.
-    #[test]
-    fn far_future_tail_does_not_sweep_per_pop() {
-        let mut q = EventQueue::new();
-        // Dense head that fixes a ~seconds-scale width...
-        for i in 0..500u64 {
-            q.push(SimTime::from_secs(i as f64 * 0.25), i);
-        }
-        // ...and a tail of 400 events spread over ~12 years.
-        for i in 0..400u64 {
-            q.push(SimTime::from_secs(1e6 + i as f64 * 1e3), 1000 + i);
-        }
-        let mut n = 0;
-        let mut last = (SimTime::ZERO, 0);
-        while let Some(e) = q.pop() {
-            assert!((e.time, e.seq) >= last);
-            last = (e.time, e.seq);
-            n += 1;
-        }
-        assert_eq!(n, 900);
-        let c = q.counters();
-        assert!(
-            c.sweeps <= 4,
-            "far-future tail swept {} times over 900 pops ({c:?})",
-            c.sweeps
-        );
-    }
-
-    /// Hysteresis: a push/pop workload hovering exactly at the growth
-    /// threshold must not rebuild on every oscillation.
-    #[test]
-    fn resize_hysteresis_under_alternating_push_pop() {
-        let mut q = EventQueue::new();
-        // Fill to just past a growth trigger so `days` settles.
-        for i in 0..1025u64 {
-            q.push(SimTime::from_secs(i as f64), i);
-        }
-        let base = q.counters().rebuilds;
-        // Alternate push/pop right at the settled size for many rounds.
-        for i in 0..2000u64 {
-            q.push(SimTime::from_secs(2000.0 + i as f64), i);
-            q.pop();
-        }
-        let c = q.counters();
-        assert!(
-            c.rebuilds - base <= 2,
-            "alternating push/pop rebuilt {} times ({c:?})",
-            c.rebuilds - base
-        );
     }
 
     /// `clear` must not reset the sequence counter: events pushed after a
@@ -640,5 +586,114 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 5]);
+    }
+
+    /// A generation-filtered plain queue — the pattern keyed slots
+    /// replace. Every arm pushes a fresh entry stamped with the slot's
+    /// current generation; a reschedule bumps the generation, so older
+    /// entries become stale and are discarded when they pop. A re-arm
+    /// with no reschedule in between pushes a duplicate under the same
+    /// generation, and the earlier of the two is the one that pops live.
+    struct GenerationModel {
+        q: ModelQueue,
+        gen: Vec<u64>,
+        /// Whether the slot's current generation already has an entry.
+        armed: Vec<bool>,
+    }
+
+    impl GenerationModel {
+        fn payload(slot: usize, gen: u64) -> u64 {
+            (gen << 8) | slot as u64
+        }
+        fn live(&self, payload: u64) -> bool {
+            payload >> 63 == 1 || payload >> 8 == self.gen[(payload & 0xff) as usize]
+        }
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            loop {
+                let (t, p) = self.q.pop()?;
+                if self.live(p) {
+                    if p >> 63 == 0 {
+                        // A live wake's handler always reschedules: that
+                        // makes any same-generation duplicate stale.
+                        let slot = (p & 0xff) as usize;
+                        self.gen[slot] += 1;
+                        self.armed[slot] = false;
+                    }
+                    return Some((t, p));
+                }
+            }
+        }
+    }
+
+    /// Keyed slots, differentially: random plain pushes, reschedules
+    /// (re-key), re-arms with no reschedule (keep the key, burn a seq),
+    /// cancels and pops — with coarse timestamps so equal times are
+    /// common — must pop exactly the live entries of the
+    /// generation-filtered model, in the same order with the same times.
+    #[test]
+    fn keyed_slots_match_the_generation_filtered_model() {
+        const SLOTS: usize = 6;
+        for seed in 0..20u64 {
+            let mut rng = crate::Rng::new(0xC0DE_0000 + seed);
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut m = GenerationModel {
+                q: ModelQueue::new(),
+                gen: vec![0; SLOTS],
+                armed: vec![false; SLOTS],
+            };
+            // Each slot's current wake time (set by its last reschedule).
+            let mut wake: Vec<Option<SimTime>> = vec![None; SLOTS];
+            let mut plain_id = 1u64 << 63;
+            for round in 0..3000 {
+                let t = SimTime::from_secs((rng.range_f64(0.0, 40.0) * 2.0).floor() / 2.0);
+                let slot = rng.below(SLOTS);
+                match rng.below(10) {
+                    0 | 1 => {
+                        q.push(t, plain_id);
+                        m.q.push(t, plain_id);
+                        plain_id += 1;
+                    }
+                    2..=4 => {
+                        // Reschedule to `t`, then arm.
+                        m.gen[slot] += 1;
+                        wake[slot] = Some(t);
+                        let p = GenerationModel::payload(slot, m.gen[slot]);
+                        m.q.push(t, p);
+                        m.armed[slot] = true;
+                        q.push_keyed(slot, t, p);
+                    }
+                    5 => {
+                        // Re-arm with no reschedule: the model pushes a
+                        // duplicate under the same generation.
+                        let Some(w) = wake[slot] else { continue };
+                        m.q.push(w, GenerationModel::payload(slot, m.gen[slot]));
+                        assert!(m.armed[slot]);
+                        assert_eq!(q.armed(slot).map(|k| k.0), Some(w));
+                        q.skip_seq();
+                    }
+                    6 => {
+                        // Reschedule to "no wake" (or a failure).
+                        m.gen[slot] += 1;
+                        m.armed[slot] = false;
+                        wake[slot] = None;
+                        q.cancel(slot);
+                    }
+                    _ => {
+                        let got = q.pop().map(|e| (e.time, e.payload));
+                        assert_eq!(got, m.pop(), "seed {seed} round {round}");
+                        if let Some((_, p)) = got {
+                            if p >> 63 == 0 {
+                                wake[(p & 0xff) as usize] = None;
+                            }
+                        }
+                    }
+                }
+                assert_eq!(q.armed(slot).is_some(), m.armed[slot]);
+            }
+            while let Some(e) = q.pop() {
+                assert_eq!(Some((e.time, e.payload)), m.pop(), "seed {seed} drain");
+            }
+            assert_eq!(m.pop(), None);
+        }
     }
 }

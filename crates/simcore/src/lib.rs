@@ -6,7 +6,9 @@
 //! * [`time`] — a strongly-typed simulation clock ([`SimTime`]) measured in
 //!   seconds, with helpers for the units the paper uses (minutes, hours).
 //! * [`event`] — a deterministic event queue ([`EventQueue`]) with strict
-//!   FIFO tie-breaking so that runs are bit-for-bit reproducible.
+//!   FIFO tie-breaking so that runs are bit-for-bit reproducible, and
+//!   keyed slots that are re-keyed or cancelled in place (one wake per
+//!   server, so no superseded wake is ever popped).
 //! * [`sharded`] — per-shard event queues ([`ShardedQueue`]) under a
 //!   conservative lower-bound-timestamp barrier, preserving the global
 //!   pop order for any shard count.

@@ -280,6 +280,23 @@ impl<T, E> WorkerQueue<T, E> {
         self.local.push_with_seq(time, k as u64, payload);
     }
 
+    /// Arms keyed `slot` at `time` on this burst's own shard (see
+    /// [`EventQueue::push_keyed`]). The slot's pending entry — on the
+    /// detached shard queue or from an earlier push in this burst — is
+    /// replaced, so the slot keeps at most one entry; its final
+    /// sequence number is assigned at the barrier like any own-shard
+    /// push.
+    pub fn push_keyed(&mut self, slot: usize, time: SimTime, payload: T) {
+        let pending = self.pending.as_ref().expect("push outside a popped event");
+        debug_assert!(time >= pending.time, "push into the past");
+        let k = self.n_pushes;
+        self.n_pushes += 1;
+        self.final_seq.push(u64::MAX);
+        self.real.cancel(slot);
+        self.local
+            .push_keyed_with_seq(slot, time, k as u64, payload);
+    }
+
     /// Buffers a push onto *another* shard until the barrier. Requires a
     /// bounded epoch and `time ≥` the horizon's time — the conservative
     /// lookahead contract that keeps the target's burst (and the merge)
@@ -316,9 +333,9 @@ impl<T, E> WorkerQueue<T, E> {
         });
     }
 
-    /// Drops the popped event without logging it (a stale wake-up). The
-    /// event must not have pushed anything; it simply vanishes, exactly
-    /// as the sequential loop's staleness `continue` makes it vanish.
+    /// Drops the popped event without logging it. The event must not
+    /// have pushed anything; it simply vanishes, exactly as an event the
+    /// sequential loop skips without dispatching.
     pub fn discard(&mut self) {
         let p = self.pending.take().expect("discard without a popped event");
         assert_eq!(p.push_start, self.n_pushes, "discarded event made pushes");
@@ -445,12 +462,24 @@ impl<T> ShardedQueue<T> {
         // Re-attach the real queues first (a foreign push may target an
         // elected shard, whose placeholder queue would otherwise be
         // overwritten), folding unconsumed local pushes in with their
-        // final sequence numbers.
+        // final sequence numbers (keyed ones back into their slots).
         for w in workers.iter_mut() {
-            while let Some(e) = w.local.pop() {
-                let s = w.final_seq[e.seq as usize];
+            let WorkerQueue {
+                real,
+                local,
+                final_seq,
+                ..
+            } = &mut **w;
+            for (slot, e) in local.drain() {
+                let s = final_seq[e.seq as usize];
                 debug_assert_ne!(s, u64::MAX, "local push never attributed");
-                w.real.push_with_seq(e.time, s, e.payload);
+                match slot {
+                    Some(slot) => {
+                        let replaced = real.push_keyed_with_seq(slot, e.time, s, e.payload);
+                        debug_assert!(replaced.is_none(), "slot armed twice");
+                    }
+                    None => real.push_with_seq(e.time, s, e.payload),
+                }
             }
             w.stalled = !w.real.is_empty();
             self.len += w.real.len();
@@ -725,9 +754,9 @@ mod tests {
         assert_eq!(q.begin_run().map(|t| t.shard()), Some(0));
     }
 
-    /// A stale pop (`discard`) vanishes without a log entry, without a
-    /// sequence number, and without counting as an event — exactly like
-    /// the sequential loop's staleness `continue`.
+    /// A discarded pop vanishes without a log entry, without a sequence
+    /// number, and without counting as an event — exactly like an event
+    /// the sequential loop skips without dispatching.
     #[test]
     fn discard_is_invisible_at_the_barrier() {
         let mut q = ShardedQueue::new(2, 8);

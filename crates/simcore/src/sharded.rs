@@ -1,11 +1,12 @@
 //! Per-shard event queues under a conservative lower-bound-timestamp
 //! barrier.
 //!
-//! A [`ShardedQueue`] partitions pending events over `n` calendar queues
-//! (one per shard) while preserving the *global* `(time, seq)` total
-//! order of a single [`EventQueue`]: sequence numbers are allocated from
-//! one shared counter, so the merged pop order is a pure function of the
-//! push order, exactly as in the single-queue contract.
+//! A [`ShardedQueue`] partitions pending events over `n` event queues
+//! (one per shard, each holding the keyed slots of its own servers)
+//! while preserving the *global* `(time, seq)` total order of a single
+//! [`EventQueue`]: sequence numbers are allocated from one shared
+//! counter, so the merged pop order is a pure function of the push
+//! order, exactly as in the single-queue contract.
 //!
 //! Execution alternates **barriers** and **runs**, the classic
 //! conservative (lower-bound-timestamp) synchronization of parallel
@@ -118,17 +119,63 @@ impl<T> ShardedQueue<T> {
     /// foreign shard tightens the active shard's horizon (it is an
     /// incoming cross-shard message for its target).
     pub fn push(&mut self, shard: usize, time: SimTime, payload: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.draw_seq();
         self.shards[shard].push_with_seq(time, seq, payload);
         self.len += 1;
-        if let Some(active) = self.active {
-            if shard != active {
-                let key = (time, seq);
-                if self.horizon.is_none_or(|h| key < h) {
-                    self.horizon = Some(key);
-                }
-            }
+        self.tighten_horizon(shard, (time, seq));
+    }
+
+    /// Arms keyed `slot` on `shard` at `time` (see
+    /// [`EventQueue::push_keyed`]): the sequence number comes from the
+    /// shared counter, and a slot that is already armed is re-keyed in
+    /// place. A slot must stay on one shard. During a run, a re-arm on a
+    /// foreign shard tightens the horizon exactly like a push.
+    pub fn push_keyed(&mut self, shard: usize, slot: usize, time: SimTime, payload: T) {
+        let seq = self.draw_seq();
+        if self.shards[shard]
+            .push_keyed_with_seq(slot, time, seq, payload)
+            .is_none()
+        {
+            self.len += 1;
+        }
+        self.tighten_horizon(shard, (time, seq));
+    }
+
+    /// Disarms keyed `slot` on `shard`, returning its pending entry. A
+    /// run's horizon is left as it is: a cancelled entry can only have
+    /// made it tighter than necessary, which ends the run early but
+    /// never lets it overtake a pending event.
+    pub fn cancel(&mut self, shard: usize, slot: usize) -> Option<EventEntry<T>> {
+        let entry = self.shards[shard].cancel(slot);
+        if entry.is_some() {
+            self.len -= 1;
+        }
+        entry
+    }
+
+    /// The `(time, seq)` key keyed `slot` on `shard` is armed at, if any.
+    pub fn armed(&self, shard: usize, slot: usize) -> Option<(SimTime, u64)> {
+        self.shards[shard].armed(slot)
+    }
+
+    /// Draws and discards the next shared sequence number (see
+    /// [`EventQueue::skip_seq`]).
+    pub fn skip_seq(&mut self) {
+        self.next_seq += 1;
+    }
+
+    fn draw_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// A push onto a foreign shard during a run is an incoming
+    /// cross-shard message: the run must stop before its key.
+    fn tighten_horizon(&mut self, shard: usize, key: (SimTime, u64)) {
+        if self.active.is_some_and(|active| shard != active) && self.horizon.is_none_or(|h| key < h)
+        {
+            self.horizon = Some(key);
         }
     }
 
@@ -207,18 +254,6 @@ impl<T> ShardedQueue<T> {
     /// draining.
     pub fn shard_len(&self, shard: usize) -> usize {
         self.shards[shard].len()
-    }
-
-    /// Aggregated internal scan counters across all shard queues.
-    pub fn counters(&self) -> crate::event::QueueCounters {
-        let mut total = crate::event::QueueCounters::default();
-        for q in &self.shards {
-            let c = q.counters();
-            total.scanned += c.scanned;
-            total.sweeps += c.sweeps;
-            total.rebuilds += c.rebuilds;
-        }
-        total
     }
 }
 

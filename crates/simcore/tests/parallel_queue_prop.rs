@@ -13,14 +13,24 @@
 //! with "initial plane events not yet popped", which is equivalent:
 //! an epoch event precedes the plane's head in global order, so the
 //! head is still unpopped exactly when the horizon exists.
+//!
+//! Every worker shard also owns one keyed slot, re-armed the way the
+//! simulator re-arms a server's wake: worker events re-key their own
+//! shard's slot (inside epoch bursts and classic runs alike), and plane
+//! events re-arm a worker shard's slot from across the barrier — with a
+//! fresh key when it is idle, and keeping its key (burning a sequence
+//! number) when it is already armed, i.e. a re-arm with no reschedule.
+//! The oracle plays the same re-arms as generation-stamped plain pushes
+//! and discards stale ones when they pop.
 
 use proptest::prelude::*;
 use sct_simcore::{EventQueue, ShardedQueue, SimTime, WorkerQueue};
+use std::collections::HashMap;
 
 /// One generated seed event: raw shard pick, time, own-push delay,
-/// foreign-push delay. The vendored proptest has no `Option` strategy,
-/// so negative delays encode "no push".
-type Entry = (usize, f64, f64, f64);
+/// foreign-push delay, re-arm delay. The vendored proptest has no
+/// `Option` strategy, so negative delays encode "no push".
+type Entry = (usize, f64, f64, f64, f64);
 
 fn delay(d: f64) -> Option<f64> {
     (d >= 0.0).then_some(d)
@@ -42,7 +52,7 @@ fn script(
     n_shards: usize,
     foreign_ok: bool,
 ) -> (Option<SimTime>, Option<(usize, SimTime)>) {
-    let Some(&(_, _, own_d, foreign_d)) = entries.get(id as usize) else {
+    let Some(&(_, _, own_d, foreign_d, _)) = entries.get(id as usize) else {
         return (None, None); // a pushed event: no follow-ups
     };
     let my = shards[id as usize];
@@ -68,10 +78,32 @@ fn script(
 /// Ids of pushed events, unique per (parent, kind) since only initial
 /// ids (< entries.len()) push.
 fn own_id(entries: &[Entry], parent: u32) -> u32 {
-    entries.len() as u32 + 2 * parent
+    entries.len() as u32 + 3 * parent
 }
 fn foreign_id(entries: &[Entry], parent: u32) -> u32 {
-    entries.len() as u32 + 2 * parent + 1
+    entries.len() as u32 + 3 * parent + 1
+}
+fn rearm_id(entries: &[Entry], parent: u32) -> u32 {
+    entries.len() as u32 + 3 * parent + 2
+}
+
+/// A slot re-arm requested by initial event `id`: `(shard, time,
+/// keep_if_armed)`. Worker shard `s` owns slot `s`. A worker event
+/// re-keys its own shard's slot; a plane event re-arms a worker shard's
+/// slot and keeps the existing key when that slot is already armed.
+fn rearm(
+    id: u32,
+    now: SimTime,
+    entries: &[Entry],
+    shards: &[usize],
+    n_shards: usize,
+) -> Option<(usize, SimTime, bool)> {
+    let &(_, _, _, _, d) = entries.get(id as usize)?;
+    let t = now + delay(d)?;
+    match shards[id as usize] {
+        0 => Some((1 + id as usize % (n_shards - 1), t, true)),
+        my => Some((my, t, false)),
+    }
 }
 
 fn shard_assignment(entries: &[Entry], n_shards: usize) -> Vec<usize> {
@@ -87,9 +119,23 @@ fn run_oracle(entries: &[Entry], n_shards: usize) -> Vec<(SimTime, u32)> {
     for (id, &(_, t, ..)) in entries.iter().enumerate() {
         q.push(SimTime::from_secs(t), id as u32);
     }
+    // Per slot: generation, and the time its live entry is at (if any).
+    let mut gen = vec![0u64; n_shards];
+    let mut live: Vec<Option<SimTime>> = vec![None; n_shards];
+    // Re-arm id → (slot, generation it was pushed under).
+    let mut stamp: HashMap<u32, (usize, u64)> = HashMap::new();
     let mut visits = Vec::new();
     while let Some(e) = q.pop() {
         let id = e.payload;
+        if let Some(&(slot, g)) = stamp.get(&id) {
+            if g != gen[slot] {
+                continue; // superseded by a later re-arm
+            }
+            // Popping a slot's entry reschedules it: any duplicate
+            // pushed under the same generation is stale now.
+            gen[slot] += 1;
+            live[slot] = None;
+        }
         if (id as usize) < shards.len() && shards[id as usize] == 0 {
             plane_remaining -= 1;
         }
@@ -99,6 +145,20 @@ fn run_oracle(entries: &[Entry], n_shards: usize) -> Vec<(SimTime, u32)> {
         }
         if let Some((_, t)) = foreign {
             q.push(t, foreign_id(entries, id));
+        }
+        if let Some((slot, t, keep)) = rearm(id, e.time, entries, &shards, n_shards) {
+            let rid = rearm_id(entries, id);
+            match live[slot] {
+                // No reschedule: a duplicate under the same generation,
+                // at the live entry's time.
+                Some(at) if keep => q.push(at, rid),
+                _ => {
+                    gen[slot] += 1;
+                    live[slot] = Some(t);
+                    q.push(t, rid);
+                }
+            }
+            stamp.insert(rid, (slot, gen[slot]));
         }
         visits.push((e.time, id));
     }
@@ -142,6 +202,10 @@ fn run_parallel(entries: &[Entry], n_shards: usize, rev: bool) -> Vec<(SimTime, 
                     if let Some((target, t)) = foreign {
                         w.push_foreign(target, t, foreign_id(entries, id));
                     }
+                    if let Some((slot, t, keep)) = rearm(id, now, entries, &shards, n_shards) {
+                        assert!(!keep, "plane events never run in a burst");
+                        w.push_keyed(slot, t, rearm_id(entries, id));
+                    }
                     w.record(id);
                 }
             }
@@ -162,6 +226,13 @@ fn run_parallel(entries: &[Entry], n_shards: usize, rev: bool) -> Vec<(SimTime, 
             if let Some((target, t)) = foreign {
                 q.push(target, t, foreign_id(entries, id));
             }
+            if let Some((slot, t, keep)) = rearm(id, e.time, entries, &shards, n_shards) {
+                if keep && q.armed(slot, slot).is_some() {
+                    q.skip_seq();
+                } else {
+                    q.push_keyed(slot, slot, t, rearm_id(entries, id));
+                }
+            }
             visits.push((e.time, id));
         }
         q.end_run(tok);
@@ -181,7 +252,7 @@ proptest! {
         n_shards in 2usize..5,
         entries in prop::collection::vec(
             // Negative delay = no push (~1/3 of draws each).
-            (0usize..8, 0.0f64..1000.0, -25.0f64..50.0, -25.0f64..50.0),
+            (0usize..8, 0.0f64..1000.0, -25.0f64..50.0, -25.0f64..50.0, -25.0f64..50.0),
             0..40,
         ),
         rev in any::<bool>(),

@@ -13,9 +13,10 @@
 //!    report when this server next needs attention (earliest stream
 //!    completion or staging-buffer fill).
 //!
-//! Stale wake-ups are filtered with a generation counter: every
-//! `reschedule` invalidates previously scheduled wakes, so the global
-//! event queue never needs to delete entries.
+//! Every `reschedule` bumps a generation counter. The simulation keeps
+//! one wake slot per server in its event queue and re-keys it after each
+//! reschedule; the counter tells it whether a re-arm follows a fresh
+//! reschedule or merely repeats the current schedule.
 
 use crate::alloc::{allocate_incremental, AllocScratch, SchedulerKind};
 use crate::stream::{Stream, StreamId};
@@ -117,8 +118,8 @@ impl ServerEngine {
         &self.streams
     }
 
-    /// Current wake generation; wake-ups carrying an older generation are
-    /// stale and must be ignored.
+    /// Current wake generation: bumped by every reschedule, failure and
+    /// repair, so two equal readings bracket an unchanged schedule.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -192,7 +193,7 @@ impl ServerEngine {
     /// Fails the server at `now`: integrates state, takes every active
     /// stream off it (their transmission state intact, for possible
     /// emergency migration by the controller), and marks it offline.
-    /// Previously scheduled wakes become stale.
+    /// The caller must disarm the server's pending wake.
     pub fn fail(&mut self, now: SimTime) -> Vec<Stream> {
         self.advance_to(now);
         self.generation += 1;
@@ -672,7 +673,7 @@ mod tests {
         assert!(e.is_online());
         assert!(
             e.generation() > g_down,
-            "repair must invalidate stale wakes"
+            "repair starts a fresh wake generation"
         );
         assert!(e.can_admit(3.0));
         e.admit(mk_stream(2, 300.0, 0.0, t2), t2);

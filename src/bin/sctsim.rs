@@ -33,6 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  sctsim run [--config FILE | --system small|large|tiny|huge] [--policy P1..P8]\n\
          \x20          [--theta T] [--hours H] [--warmup H] [--trials N] [--seed S] [--out FILE]\n\
+         \x20          (--config conflicts with --system/--policy/--theta/--hours/--warmup)\n\
          \x20          [--shards N]  (partition the event loop; outcomes are shard-invariant)\n\
          \x20          [--threads N]  (run shard bursts on N worker threads; outcomes are\n\
          \x20                          thread-invariant — wall-clock only)\n\
@@ -138,8 +139,19 @@ fn policy_by_name(name: &str) -> Policy {
         })
 }
 
+/// Flags that set experiment fields a `--config` file already fixes.
+/// Combined with `--config` they would be dropped without a word, so
+/// the combination is a usage error.
+const CONFIG_FIELD_FLAGS: [&str; 5] = ["system", "policy", "theta", "hours", "warmup"];
+
 fn build_config(args: &Args) -> SimConfig {
     if let Some(path) = args.get("config") {
+        if let Some(flag) = CONFIG_FIELD_FLAGS.iter().find(|f| args.has(f)) {
+            eprintln!(
+                "--{flag} conflicts with --config {path}: the file sets it; edit the file instead"
+            );
+            exit(2)
+        }
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             exit(1)
@@ -150,6 +162,10 @@ fn build_config(args: &Args) -> SimConfig {
         });
         // --shards/--threads compose with --config: loop-execution
         // knobs, not part of the experiment a config file describes.
+        // --seed composes too: `run` derives every trial's seed from it.
+        if let Some(s) = args.get_f64("seed") {
+            config.seed = s as u64;
+        }
         if let Some(s) = args.get_f64("shards") {
             config.shards = (s as usize).max(1);
         }

@@ -54,6 +54,66 @@ fn scenario_round_trips_through_run() {
     assert!(outcome.contains("utilization"));
 }
 
+/// Writes the tiny one-hour scenario (`sctsim scenario`) to a file of
+/// its own and returns the path.
+fn tiny_config_file(name: &str) -> String {
+    let out = sctsim(&["scenario", "--system", "tiny", "--hours", "1"]);
+    assert!(out.status.success());
+    let dir = std::env::temp_dir().join("sctsim-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, &out.stdout).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+#[test]
+fn config_rejects_flags_it_would_silently_drop() {
+    let cfg = tiny_config_file("config-conflicts");
+    for (flag, value) in [
+        ("--system", "small"),
+        ("--policy", "P2"),
+        ("--theta", "0.5"),
+        ("--hours", "2"),
+        ("--warmup", "0.1"),
+    ] {
+        let out = sctsim(&["run", "--config", &cfg, flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} with --config");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} conflicts with --config")),
+            "{flag}: {err}"
+        );
+    }
+}
+
+#[test]
+fn config_composes_with_seed_shards_and_threads() {
+    let cfg = tiny_config_file("config-composes");
+    let run = |extra: &[&str]| {
+        let mut args = vec!["run", "--config", cfg.as_str()];
+        args.extend_from_slice(extra);
+        let out = sctsim(&args);
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let base = run(&["--seed", "5"]);
+    // Loop-execution knobs change no outcome.
+    assert_eq!(
+        run(&["--seed", "5", "--shards", "2", "--threads", "2"]),
+        base
+    );
+    // The seed takes effect: the same experiment built from flags
+    // matches, and another seed does not.
+    let flags = sctsim(&["run", "--system", "tiny", "--hours", "1", "--seed", "5"]);
+    assert!(flags.status.success());
+    assert_eq!(flags.stdout, base);
+    assert_ne!(run(&["--seed", "6"]), base);
+}
+
 #[test]
 fn run_is_deterministic_across_invocations() {
     let args = [
