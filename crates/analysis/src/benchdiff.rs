@@ -8,8 +8,8 @@
 //!
 //! The comparator is schema-free: both files are flattened to
 //! `path → number` leaves. Array elements that carry identifying
-//! fields (`scheduler`/`migration` for the grid, `shards`/`threads`
-//! for the huge sweep) are labelled by those ids rather than by index,
+//! fields (`scheduler`/`migration` for the grid, `shards` for the huge
+//! sweep) are labelled by those ids rather than by index,
 //! so a reordered array still lines up. Each leaf is classified by its
 //! name — throughput-like leaves (`events_per_sec`, `speedup`,
 //! `floor`) regress when they *drop*, cost-like leaves (`wall_secs`,
@@ -96,8 +96,12 @@ fn element_label(v: &Value, index: usize) -> String {
         if let (Some(s), Some(m)) = (get("scheduler"), get("migration")) {
             return format!("[{s},{m}]");
         }
-        if let (Some(s), Some(t)) = (get("shards"), get("threads")) {
-            return format!("[{s}s,{t}t]");
+        if let Some(s) = get("shards") {
+            // Older reports also swept threads.
+            return match get("threads") {
+                Some(t) => format!("[{s}s,{t}t]"),
+                None => format!("[{s}s]"),
+            };
         }
     }
     format!("[{index}]")
@@ -361,6 +365,15 @@ mod tests {
             .removed
             .iter()
             .any(|p| p == "exec_overhead.overhead_pct"));
+    }
+
+    #[test]
+    fn labels_huge_rows_by_shards_with_or_without_threads() {
+        let old = r#"{"rows": [{"shards": 4, "threads": 1, "events_per_sec": 1.0}]}"#;
+        let new = r#"{"rows": [{"shards": 4, "events_per_sec": 1.0}]}"#;
+        let d = diff(old, new).unwrap();
+        assert!(d.removed.iter().any(|p| p == "rows[4s,1t].events_per_sec"));
+        assert!(d.added.iter().any(|p| p == "rows[4s].events_per_sec"));
     }
 
     #[test]

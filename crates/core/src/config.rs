@@ -171,49 +171,16 @@ pub struct SimConfig {
     /// monolithic loop). Outcomes are identical for every value; shards
     /// change batching and accounting, never behaviour.
     pub shards: usize,
-    /// Worker threads for epoch bursts of the sharded loop (1 = keep the
-    /// classic single-threaded barrier loop). Outcomes are bit-identical
-    /// for every value; threads change wall-clock only.
-    pub threads: usize,
-    /// Minimum events pending across the elected shards before an epoch
-    /// burst is offloaded to the thread pool; smaller epochs run inline
-    /// (spawning threads for a handful of events costs more than it
-    /// saves). Irrelevant to outcomes.
-    pub offload_min_events: usize,
     /// Root seed for all randomness in the trial.
     pub seed: u64,
     /// Run (expensive) invariant checks while simulating.
     pub check_invariants: bool,
 }
 
-fn default_threads() -> usize {
-    1
-}
-
-fn default_offload_min_events() -> usize {
-    256
-}
-
 impl SimConfig {
     /// Starts a builder from paper defaults for `system`.
     pub fn builder(system: SystemSpec) -> SimConfigBuilder {
         SimConfigBuilder::new(system)
-    }
-
-    /// Whether this config's *features* admit the parallel epoch path:
-    /// more than one worker thread requested and no scenario extension
-    /// that routes non-`Wake` events to worker shards or reaches across
-    /// shards mid-burst (failures, interactivity, waitlists, dynamic
-    /// replication). The loop additionally requires `shards > 1` after
-    /// clamping and that no attached probe consumes state views; when
-    /// any condition fails it silently falls back to the classic
-    /// single-threaded barrier loop — outcomes are identical either way.
-    pub fn parallel_eligible(&self) -> bool {
-        self.threads > 1
-            && self.failures.is_none()
-            && self.interactivity.is_none()
-            && self.waitlist.is_none()
-            && self.replication.is_none()
     }
 
     /// The client profile this config gives every request, resolved
@@ -262,8 +229,6 @@ impl SimConfigBuilder {
                 sample_interval_secs: None,
                 track_per_video: false,
                 shards: 1,
-                threads: default_threads(),
-                offload_min_events: default_offload_min_events(),
                 seed: 0,
                 check_invariants: false,
             },
@@ -413,19 +378,13 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Dispatches epoch bursts of the sharded loop on `n` worker threads
-    /// (1 = the classic single-threaded loop). Outcomes do not depend on
-    /// it; see [`SimConfig::parallel_eligible`] for when it engages.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
-        self
-    }
-
-    /// Sets the minimum pending events before an epoch burst is
-    /// offloaded to the thread pool (0 = always offload; tests use this
-    /// to force real threads onto tiny scenarios).
-    pub fn offload_min_events(mut self, n: usize) -> Self {
-        self.cfg.offload_min_events = n;
+    /// Accepts only `n == 1`: a trial always runs on one thread, so
+    /// there is nothing to set. Kept solely because the benchmark
+    /// harness under `perfbench/` still calls `.threads(1)`; it goes
+    /// when the benchmark stops calling it.
+    #[doc(hidden)]
+    pub fn threads(self, n: usize) -> Self {
+        assert_eq!(n, 1, "a trial runs on one thread");
         self
     }
 
@@ -466,7 +425,6 @@ impl SimConfigBuilder {
             assert!((0.0..1.0).contains(&spread), "spread must be in [0,1)");
         }
         assert!(c.shards >= 1, "at least one shard");
-        assert!(c.threads >= 1, "at least one thread");
         self.cfg
     }
 }

@@ -290,15 +290,6 @@ pub trait Probe {
     /// ignore — outcome-bearing probes must not depend on it, since the
     /// monolithic loop never calls it.
     fn on_run(&mut self, _summary: &RunSummary) {}
-
-    /// Whether this probe consumes [`Probe::on_state`] views. The
-    /// parallel epoch path cannot build a coherent global state view
-    /// mid-burst, so it only engages when every attached probe returns
-    /// `false`. Defaults to `true` (conservative: unknown probes force
-    /// the sequential loop); event-only probes override it.
-    fn uses_state(&self) -> bool {
-        true
-    }
 }
 
 /// Fans one event out to every attached probe, in order.
@@ -382,10 +373,6 @@ impl Probe for MetricsProbe {
             _ => {}
         }
     }
-
-    fn uses_state(&self) -> bool {
-        false
-    }
 }
 
 /// Opt-in shard-locality counter: folds [`SimEvent::CrossShard`] channel
@@ -428,10 +415,6 @@ impl Probe for CrossShardCounter {
                 CrossShardEdge::EvacuationRescue => self.evacuation_rescues += 1,
             }
         }
-    }
-
-    fn uses_state(&self) -> bool {
-        false
     }
 }
 
@@ -491,10 +474,6 @@ impl Probe for JsonlTraceProbe {
         } else {
             self.lines += 1;
         }
-    }
-
-    fn uses_state(&self) -> bool {
-        false
     }
 }
 

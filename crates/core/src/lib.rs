@@ -10,7 +10,8 @@
 //!   configs.
 //! * [`simulation`] — the discrete-event loop: Poisson arrivals →
 //!   admission control (with DRM) → per-server EFTF transmission engines →
-//!   utilization accounting.
+//!   utilization accounting. One trial runs on one thread, whether its
+//!   queue is sharded or not.
 //! * [`events`] — the typed [`events::SimEvent`] record stream the loop
 //!   narrates, the [`events::Probe`] observer trait, and the built-in
 //!   probes (metrics accumulation, JSONL trace export).
@@ -24,11 +25,6 @@
 //! * [`profile`] — the always-on [`profile::LoopProfiler`]: wall-clock
 //!   phase timers for the event loop itself (dispatch / allocator /
 //!   wake scheduling / probe emission).
-//! * [`exec`] — the opt-in [`exec::ExecRecorder`]: the wall-clock
-//!   execution-plane recorder behind `sctsim run --exec-trace`,
-//!   capturing per-epoch election/merge/re-attach windows, per-burst
-//!   worker timelines, and offload decisions without perturbing the
-//!   virtual-time outcome.
 //! * [`timeseries`] — the flight recorder: [`timeseries::TimeSeriesProbe`]
 //!   folds the event stream, state views, and barrier run summaries into
 //!   fixed-width virtual-time windows with online SLO evaluation,
@@ -42,7 +38,6 @@
 
 pub mod config;
 pub mod events;
-pub mod exec;
 pub mod experiments;
 pub mod metrics;
 #[cfg(feature = "differential")]
@@ -59,7 +54,6 @@ pub use events::{
     AdmitPath, CrossShardCounter, CrossShardEdge, JsonlTraceProbe, MetricsProbe, Probe, RunSummary,
     SimEvent,
 };
-pub use exec::{ExecRecorder, ExecStats};
 pub use metrics::{Histogram, MetricsRegistry, StateView, TelemetryProbe, TimeWeightedGauge};
 pub use policies::Policy;
 pub use profile::{LoopProfile, LoopProfiler, PhaseStat};

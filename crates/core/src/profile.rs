@@ -132,18 +132,6 @@ impl LoopProfiler {
         crate::events::emit(probes, now, event);
     }
 
-    /// Folds another profiler's phase counters into this one. The
-    /// parallel epoch path gives each worker burst a fresh profiler
-    /// (the cells are not `Sync`) and absorbs it into the owning
-    /// shard's profiler after the join; wall time stays this profiler's
-    /// own (absorbed work happened inside this profiler's lifetime).
-    pub fn absorb(&self, other: &LoopProfiler) {
-        for (a, b) in self.phases.iter().zip(&other.phases) {
-            a.nanos.set(a.nanos.get() + b.nanos.get());
-            a.calls.set(a.calls.get() + b.calls.get());
-        }
-    }
-
     /// Reduces the counters to a serialisable report. The event count is
     /// the number of dispatch windows (one per live event).
     pub fn report(&self) -> LoopProfile {

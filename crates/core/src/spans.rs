@@ -568,10 +568,6 @@ impl Probe for SpanProbe {
             SimEvent::CrossShard { .. } => {}
         }
     }
-
-    fn uses_state(&self) -> bool {
-        false
-    }
 }
 
 /// Runs one trial with a [`SpanProbe`] attached and returns the outcome

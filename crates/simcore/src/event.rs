@@ -281,19 +281,6 @@ impl<T> EventQueue<T> {
         self.pos.fill(IDLE);
     }
 
-    /// Empties the queue, yielding every pending entry with its slot
-    /// (`None` for plain events), in no particular order. The epoch
-    /// barrier uses it to fold a burst's provisional queue back into the
-    /// shard's queue under final sequence numbers.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (Option<usize>, EventEntry<T>)> + '_ {
-        self.pos.fill(IDLE);
-        self.plain.drain().map(|e| (None, e)).chain(
-            self.keyed
-                .drain(..)
-                .map(|k| (Some(k.slot as usize), k.entry)),
-        )
-    }
-
     /// Removes the keyed node at heap index `i` and restores the heap.
     fn remove_keyed(&mut self, i: usize) -> Keyed<T> {
         let last = self.keyed.len() - 1;

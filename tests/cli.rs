@@ -87,7 +87,7 @@ fn config_rejects_flags_it_would_silently_drop() {
 }
 
 #[test]
-fn config_composes_with_seed_shards_and_threads() {
+fn config_composes_with_seed_and_shards() {
     let cfg = tiny_config_file("config-composes");
     let run = |extra: &[&str]| {
         let mut args = vec!["run", "--config", cfg.as_str()];
@@ -101,11 +101,8 @@ fn config_composes_with_seed_shards_and_threads() {
         out.stdout
     };
     let base = run(&["--seed", "5"]);
-    // Loop-execution knobs change no outcome.
-    assert_eq!(
-        run(&["--seed", "5", "--shards", "2", "--threads", "2"]),
-        base
-    );
+    // The shard count changes no outcome.
+    assert_eq!(run(&["--seed", "5", "--shards", "2"]), base);
     // The seed takes effect: the same experiment built from flags
     // matches, and another seed does not.
     let flags = sctsim(&["run", "--system", "tiny", "--hours", "1", "--seed", "5"]);
@@ -174,6 +171,34 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("usage"));
+}
+
+/// Every subcommand accepts only its own flags: a misspelt or retired
+/// flag exits 2 naming it instead of running the default experiment.
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    for args in [
+        &["run", "--system", "tiny", "--theat", "0.9"][..],
+        &["run", "--system", "tiny", "--threads", "4"],
+        &["run", "--system", "tiny", "--exec-trace", "exec.json"],
+        &["scenario", "--system", "tiny", "--trials", "2"],
+        &["erlang", "--svbr", "33", "--theta", "0.5"],
+        &["spans", "spans.json", "--svg", "out.svg"],
+    ] {
+        let out = sctsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let flag = args
+            .iter()
+            .rev()
+            .find(|a| a.starts_with("--"))
+            .expect("a flag");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {flag} for `sctsim {}`", args[0])),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -554,131 +579,36 @@ fn unwritable_metrics_path_fails_with_a_diagnostic() {
     assert!(err.contains("metrics.json"), "{err}");
 }
 
+/// `--profile` prints the merged loop profile and, on a sharded loop,
+/// one table per shard.
 #[test]
-fn run_exec_trace_exports_without_perturbing_the_outcome_and_exec_analyzes_it() {
-    let dir = std::env::temp_dir().join("sctsim-test-exec");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("exec.json");
-    let base = [
-        "run",
-        "--system",
-        "tiny",
-        "--hours",
-        "1",
-        "--trials",
-        "1",
-        "--seed",
-        "5",
-        "--shards",
-        "2",
-        "--threads",
-        "2",
-    ];
-    let plain = sctsim(&base);
-    let mut traced_args: Vec<&str> = base.to_vec();
-    traced_args.extend(["--exec-trace", trace_path.to_str().unwrap()]);
-    let traced = sctsim(&traced_args);
-    assert!(
-        plain.status.success() && traced.status.success(),
-        "{}",
-        String::from_utf8_lossy(&traced.stderr)
-    );
-    // The recorder must be invisible: identical outcome JSON on stdout.
-    assert_eq!(plain.stdout, traced.stdout);
-    let stderr = String::from_utf8(traced.stderr).unwrap();
-    assert!(stderr.contains("wrote execution-plane trace"), "{stderr}");
-
-    // The exported document is both a Perfetto trace and analyzer input.
-    let text = std::fs::read_to_string(&trace_path).unwrap();
-    assert!(text.contains("\"traceEvents\""), "not a trace: {text}");
-    let trace = sct_analysis::exec::ExecTrace::from_json(&text).expect("valid exec trace");
-    assert_eq!(trace.shards, 2);
-
-    let out = sctsim(&["exec", trace_path.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report = String::from_utf8(out.stdout).unwrap();
-    assert!(report.contains("# Execution-plane analysis"), "{report}");
-    assert!(report.contains("Amdahl decomposition"), "{report}");
-    assert!(report.contains("bottleneck: "), "{report}");
-}
-
-#[test]
-fn exec_trace_flag_conflicts_with_multiple_trials() {
+fn profile_prints_the_merged_and_per_shard_tables() {
     let out = sctsim(&[
         "run",
         "--system",
         "tiny",
         "--hours",
         "1",
-        "--trials",
-        "2",
-        "--exec-trace",
-        "/tmp/x.json",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("--exec-trace") && err.contains("--trials 2"),
-        "{err}"
-    );
-}
-
-#[test]
-fn exec_subcommand_rejects_a_missing_file() {
-    let out = sctsim(&["exec", "/nonexistent/never/exec.json"]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("exec.json"), "{err}");
-}
-
-#[test]
-fn profile_reports_execution_plane_counters_and_fallback_reason() {
-    // Eligible parallel run: the profile must say how bursts dispatched.
-    let engaged = sctsim(&[
-        "run",
-        "--system",
-        "tiny",
-        "--hours",
-        "1",
         "--seed",
         "5",
         "--shards",
         "2",
-        "--threads",
-        "2",
         "--profile",
     ]);
     assert!(
-        engaged.status.success(),
+        out.status.success(),
         "{}",
-        String::from_utf8_lossy(&engaged.stderr)
+        String::from_utf8_lossy(&out.stderr)
     );
-    let err = String::from_utf8(engaged.stderr).unwrap();
-    assert!(err.contains("execution plane:"), "{err}");
-    assert!(err.contains("epochs ("), "{err}");
-
-    // --threads > 1 with a single shard: the parallel path can never
-    // engage, and the profile must say why.
-    let fallback = sctsim(&[
-        "run",
-        "--system",
-        "tiny",
-        "--hours",
-        "1",
-        "--seed",
-        "5",
-        "--threads",
-        "2",
-        "--profile",
-    ]);
-    assert!(fallback.status.success());
-    let err = String::from_utf8(fallback.stderr).unwrap();
-    assert!(err.contains("parallel epochs never engaged"), "{err}");
-    assert!(err.contains("--shards"), "{err}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("trial 0: loop profile:"), "{err}");
+    for shard in 0..2 {
+        assert!(
+            err.contains(&format!("trial 0 shard {shard}: loop profile:")),
+            "{err}"
+        );
+    }
+    assert!(err.contains("barrier"), "{err}");
 }
 
 #[test]

@@ -7,9 +7,9 @@
 //! event stream, and every outcome float are bit-identical for any
 //! shard count. This test runs the four golden scenarios (the same
 //! configs `golden_outcomes.rs` locks against pre-refactor fixtures)
-//! with `shards ∈ {1, 2, 4}` and asserts identical [`SimOutcome`]s
-//! *and* identical span sets — the strongest observable equality the
-//! probes expose.
+//! plus a flash crowd with `shards ∈ {1, 2, 4}` and asserts identical
+//! [`SimOutcome`]s *and* identical span sets — the strongest observable
+//! equality the probes expose.
 //!
 //! Combined with `golden_outcomes.rs` (which pins `shards = 1` to the
 //! pre-refactor snapshots), this transitively pins every shard count to
@@ -99,6 +99,29 @@ fn shard_matrix_large_migration_failures() {
     });
 }
 
+/// Flash crowd: heavily skewed demand under a strong diurnal swing, so
+/// arrival bursts pile wakes onto the popular videos' holders — many
+/// same-shard events between barriers, where a reordering bug would
+/// surface first.
+fn flash_crowd(shards: usize) -> SimConfig {
+    SimConfig::builder(SystemSpec::small_paper())
+        .theta(-0.5)
+        .migration(MigrationPolicy::single_hop())
+        .diurnal(0.9, 2.0)
+        .sample_interval_secs(600.0)
+        .track_per_video(true)
+        .shards(shards)
+        .seed(2024)
+        .duration_hours(3.0)
+        .warmup_hours(0.5)
+        .build()
+}
+
+#[test]
+fn shard_matrix_flash_crowd() {
+    assert_shard_invariant("flash_crowd", flash_crowd);
+}
+
 /// Oversharding clamps: more shards than servers behaves like one shard
 /// per server, and outcomes still match.
 #[test]
@@ -124,10 +147,11 @@ fn shard_matrix_overshard_clamps() {
 /// the loop's *execution shape* — run lengths, barrier-horizon slack,
 /// cross-shard edges — which legitimately varies with the shard count
 /// but must still be bit-identical across repeated runs at the same
-/// count (it is derived from virtual time only, never wall clock).
+/// count (it is derived from virtual time only, never wall clock). Runs
+/// on a migration-heavy config and on the flash crowd.
 #[test]
 fn timeseries_recording_is_deterministic_across_the_shard_matrix() {
-    let build = |shards: usize| {
+    let migrating = |shards: usize| {
         SimConfig::builder(SystemSpec::small_paper())
             .theta(0.0)
             .migration(MigrationPolicy::single_hop())
@@ -137,39 +161,43 @@ fn timeseries_recording_is_deterministic_across_the_shard_matrix() {
             .warmup_hours(0.5)
             .build()
     };
-    let record = |shards: usize| {
-        let cfg = build(shards);
-        let mut probe = TimeSeriesProbe::new(&cfg, 600.0);
-        Simulation::run_with_probes(&cfg, &mut [&mut probe]);
-        probe.finish()
-    };
-    let base = record(1);
-    assert!(!base.windows.is_empty());
-    for &shards in &SHARD_MATRIX {
-        let rec = record(shards);
-        assert_eq!(
-            rec.windows, base.windows,
-            "window series diverged at shards = {shards}"
-        );
-        assert_eq!(
-            rec.alerts, base.alerts,
-            "alert stream diverged at shards = {shards}"
-        );
-        // Repeatability: the whole recording — barrier-slack series
-        // included — is bit-identical run over run.
-        let again = record(shards);
-        assert_eq!(
-            again.to_json(),
-            rec.to_json(),
-            "recording not reproducible at shards = {shards}"
-        );
-        if shards > 1 {
-            assert_eq!(rec.shards.len(), shards, "missing per-shard series");
-            let bounded: u64 = rec.shards.iter().flat_map(|s| &s.bounded_runs).sum();
-            assert!(
-                bounded > 0,
-                "sharded run recorded no bounded barrier horizons"
+    let builds: [(&str, &dyn Fn(usize) -> SimConfig); 2] =
+        [("migrating", &migrating), ("flash_crowd", &flash_crowd)];
+    for (name, build) in builds {
+        let record = |shards: usize| {
+            let cfg = build(shards);
+            let mut probe = TimeSeriesProbe::new(&cfg, 600.0);
+            Simulation::run_with_probes(&cfg, &mut [&mut probe]);
+            probe.finish()
+        };
+        let base = record(1);
+        assert!(!base.windows.is_empty());
+        for &shards in &SHARD_MATRIX {
+            let rec = record(shards);
+            assert_eq!(
+                rec.windows, base.windows,
+                "{name}: window series diverged at shards = {shards}"
             );
+            assert_eq!(
+                rec.alerts, base.alerts,
+                "{name}: alert stream diverged at shards = {shards}"
+            );
+            // Repeatability: the whole recording — barrier-slack series
+            // included — is bit-identical run over run.
+            let again = record(shards);
+            assert_eq!(
+                again.to_json(),
+                rec.to_json(),
+                "{name}: recording not reproducible at shards = {shards}"
+            );
+            if shards > 1 {
+                assert_eq!(rec.shards.len(), shards, "missing per-shard series");
+                let bounded: u64 = rec.shards.iter().flat_map(|s| &s.bounded_runs).sum();
+                assert!(
+                    bounded > 0,
+                    "{name}: sharded run recorded no bounded barrier horizons"
+                );
+            }
         }
     }
 }
